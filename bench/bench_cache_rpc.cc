@@ -420,9 +420,9 @@ int main(int argc, char** argv) {
         busiest = i;
       }
     }
-    const uint16_t port = degraded_ring.ring().member(busiest).port;
+    const uint16_t victim_port = degraded_ring.ring().member(busiest).port;
     for (size_t i = 0; i < ring_servers.size(); ++i) {
-      if (ring_servers[i]->port() == port) {
+      if (ring_servers[i]->port() == victim_port) {
         ring_servers[i]->Stop();
         killed_member = static_cast<int>(busiest);
         break;
@@ -609,7 +609,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(node_stats.bytes_served));
 
   std::ostringstream json;
-  json << "{\"templates\":" << templates << ",\"steps\":" << steps
+  json << "{" << bench::HostStampJson() << ",\"templates\":" << templates
+       << ",\"steps\":" << steps
        << ",\"trace_len\":" << trace_len
        << ",\"cold\":{\"wall_ms\":" << cold_ms
        << ",\"remote_misses\":" << cold_stats.remote_misses

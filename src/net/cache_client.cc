@@ -44,15 +44,7 @@ bool CacheClient::Authenticate() {
   }
   const auto deadline = std::chrono::steady_clock::now() + options_.call_timeout;
   while (auth_acks_.find(seq) == auth_acks_.end()) {
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      last_error_ = WireError::kTimeout;
-      return false;
-    }
-    const auto budget = std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(50));
-    if (!PumpOnce(std::max(budget, std::chrono::milliseconds(1)))) {
+    if (!PumpUntil(deadline)) {
       return false;
     }
   }
@@ -174,6 +166,19 @@ bool CacheClient::PumpOnce(std::chrono::milliseconds budget) {
   return true;
 }
 
+bool CacheClient::PumpUntil(std::chrono::steady_clock::time_point deadline) {
+  const auto now = std::chrono::steady_clock::now();
+  if (now >= deadline) {
+    last_error_ = WireError::kTimeout;
+    Close();
+    return false;
+  }
+  const auto budget = std::min(
+      std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
+      std::chrono::milliseconds(50));
+  return PumpOnce(std::max(budget, std::chrono::milliseconds(1)));
+}
+
 FetchRecordResult CacheClient::FetchRecord(int template_id, int steps,
                                            int blocks, bool want_kv) {
   FetchRecordResult result;
@@ -247,15 +252,7 @@ FetchRecordResult CacheClient::FetchRecord(int template_id, int steps,
     if (outstanding.empty()) {
       break;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      last_error_ = WireError::kTimeout;
-      return result;
-    }
-    const auto budget = std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(50));
-    if (!PumpOnce(std::max(budget, std::chrono::milliseconds(1)))) {
+    if (!PumpUntil(deadline)) {
       return result;
     }
   }
@@ -291,13 +288,17 @@ PutRecordResult CacheClient::PutRecord(int template_id,
     // node would reject as oversized can only desync the stream.
     if (CachePutPayloadBytes(encoded) > kMaxPayloadBytes) {
       last_error_ = WireError::kOversizedFrame;
+      if (!outstanding.empty()) {
+        Close();  // Earlier frames' acks are owed; drop them with the socket.
+      }
       return false;
     }
     const uint64_t seq = next_seq_++;
-    if (!SendFrame(EncodeCachePut(seq, key, encoded))) {
+    const uint64_t checksum = EncodedChecksum(encoded);
+    if (!SendFrame(EncodeCachePut(seq, key, checksum, encoded))) {
       return false;
     }
-    outstanding.emplace(seq, EncodedChecksum(encoded));
+    outstanding.emplace(seq, checksum);
     result.bytes += m.bytes();
     result.wire_bytes += encoded.StoredBytes();
     return true;
@@ -333,7 +334,7 @@ PutRecordResult CacheClient::PutRecord(int template_id,
       if (!rit->second.hit || rit->second.body.has_payload() ||
           rit->second.body.checksum != it->second) {
         last_error_ = WireError::kMalformedPayload;
-        replies_.erase(rit);
+        Close();  // The other acks are still owed; drop them with the socket.
         return result;
       }
       ++result.puts;
@@ -343,15 +344,7 @@ PutRecordResult CacheClient::PutRecord(int template_id,
     if (outstanding.empty()) {
       break;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      last_error_ = WireError::kTimeout;
-      return result;
-    }
-    const auto budget = std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(50));
-    if (!PumpOnce(std::max(budget, std::chrono::milliseconds(1)))) {
+    if (!PumpUntil(deadline)) {
       return result;
     }
   }
@@ -404,15 +397,7 @@ std::optional<std::string> CacheClient::QueryMetrics(
       metrics_.erase(it);
       return json;
     }
-    const auto now = std::chrono::steady_clock::now();
-    if (now >= deadline) {
-      last_error_ = WireError::kTimeout;
-      return std::nullopt;
-    }
-    const auto budget = std::min(
-        std::chrono::duration_cast<std::chrono::milliseconds>(deadline - now),
-        std::chrono::milliseconds(50));
-    if (!PumpOnce(std::max(budget, std::chrono::milliseconds(1)))) {
+    if (!PumpUntil(deadline)) {
       return std::nullopt;
     }
   }

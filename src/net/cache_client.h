@@ -115,6 +115,12 @@ class CacheClient {
   // One bounded read + parse pass banking cache replies by seq. False when
   // the connection died or the stream is unframeable.
   bool PumpOnce(std::chrono::milliseconds budget);
+  // PumpOnce for at most 50 ms, bounded by `deadline`. False once the
+  // deadline has lapsed (kTimeout) or the connection died. A call that
+  // gives up this way still has replies owed, so the connection is closed:
+  // late replies would otherwise be banked under sequence numbers nobody
+  // will ask for, for as long as the pooled connection lives.
+  bool PumpUntil(std::chrono::steady_clock::time_point deadline);
   // Runs the kAuth handshake (options_.auth_token) to completion.
   bool Authenticate();
 

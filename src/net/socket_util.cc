@@ -56,6 +56,15 @@ UniqueFd OpenListener(uint16_t port, int backlog, uint16_t* bound_port) {
   return fd;
 }
 
+namespace {
+
+void SetNoDelay(int fd) {
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
+}  // namespace
+
 UniqueFd ConnectTcp(const std::string& host, uint16_t port) {
   addrinfo hints{};
   hints.ai_family = AF_INET;
@@ -73,14 +82,21 @@ UniqueFd ConnectTcp(const std::string& host, uint16_t port) {
       continue;
     }
     if (::connect(candidate.get(), ai->ai_addr, ai->ai_addrlen) == 0) {
-      const int one = 1;
-      ::setsockopt(candidate.get(), IPPROTO_TCP, TCP_NODELAY, &one,
-                   sizeof(one));
+      SetNoDelay(candidate.get());
       fd = std::move(candidate);
       break;
     }
   }
   ::freeaddrinfo(result);
+  return fd;
+}
+
+UniqueFd AcceptTcp(int listener) {
+  UniqueFd fd(::accept(listener, nullptr, nullptr));
+  if (!fd.valid() || !SetNonBlocking(fd.get())) {
+    return UniqueFd();
+  }
+  SetNoDelay(fd.get());
   return fd;
 }
 

@@ -43,9 +43,17 @@ class UniqueFd {
 // Returns an invalid fd on failure.
 UniqueFd OpenListener(uint16_t port, int backlog, uint16_t* bound_port);
 
-// Blocking TCP connect to host:port (numeric IP or hostname). Returns an
-// invalid fd on failure.
+// Blocking TCP connect to host:port (numeric IP or hostname), with
+// TCP_NODELAY set. Returns an invalid fd on failure.
 UniqueFd ConnectTcp(const std::string& host, uint16_t port);
+
+// Accepts one pending connection on a non-blocking `listener` and returns
+// it non-blocking with TCP_NODELAY set — the accept-side twin of
+// ConnectTcp. Returns an invalid fd when nothing is pending (EAGAIN) or
+// the socket cannot be set up. Both ends disable Nagle because every
+// daemon answers pipelined requests with one write per reply: with Nagle
+// on, the second small write waits for the peer's delayed ACK (~40 ms).
+UniqueFd AcceptTcp(int listener);
 
 // ConnectTcp with bounded retries: up to max(1, attempts) tries, sleeping
 // `backoff` before the second try and doubling it per attempt (50, 100,

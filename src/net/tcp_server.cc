@@ -2,7 +2,6 @@
 
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
@@ -95,16 +94,12 @@ bool TcpServer::DeliverToConn(uint64_t conn_id,
 
 void TcpServer::AcceptNewConnections() {
   for (;;) {
-    const int fd = ::accept(listener_.get(), nullptr, nullptr);
-    if (fd < 0) {
+    UniqueFd fd = AcceptTcp(listener_.get());
+    if (!fd.valid()) {
       return;  // EAGAIN or a transient error; poll() will retry.
     }
-    if (!SetNonBlocking(fd)) {
-      ::close(fd);
-      continue;
-    }
     auto conn = std::make_unique<Conn>();
-    conn->fd.Reset(fd);
+    conn->fd = std::move(fd);
     {
       std::lock_guard<std::mutex> lock(conns_mu_);
       conn->id = next_conn_id_++;

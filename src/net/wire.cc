@@ -334,13 +334,19 @@ std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key) {
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    uint64_t checksum,
                                     const quant::EncodedMatrix& data) {
   std::vector<uint8_t> payload;
   ByteWriter w(payload);
   AppendCacheKey(w, key);
-  w.U64(EncodedChecksum(data));
+  w.U64(checksum);
   AppendEncodedMatrixLe(w, data);
   return EncodeFrame(FrameType::kCachePut, seq, payload);
+}
+
+std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    const quant::EncodedMatrix& data) {
+  return EncodeCachePut(seq, key, EncodedChecksum(data), data);
 }
 
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,

@@ -286,6 +286,11 @@ std::vector<uint8_t> EncodeMetricsReport(uint64_t seq,
 std::vector<uint8_t> EncodeError(uint64_t seq, WireError code,
                                  const std::string& message);
 std::vector<uint8_t> EncodeCacheFetch(uint64_t seq, const CacheKey& key);
+// `checksum` must be EncodedChecksum(data); a caller that also needs it
+// (to verify the ack) computes it once and passes it in.
+std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
+                                    uint64_t checksum,
+                                    const quant::EncodedMatrix& data);
 // Computes the checksum itself (EncodedChecksum of `data`).
 std::vector<uint8_t> EncodeCachePut(uint64_t seq, const CacheKey& key,
                                     const quant::EncodedMatrix& data);

@@ -5,6 +5,7 @@
 // single-flight, miss-publish, fallback, circuit breaker).
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "src/cache/remote_store.h"
 #include "src/net/cache_client.h"
 #include "src/net/cache_node.h"
+#include "src/net/socket_util.h"
 #include "src/net/tcp_server.h"
 #include "src/tensor/quant.h"
 
@@ -606,6 +608,65 @@ TEST_F(CacheRpcClientTest, ConnectToDeadPortFailsAfterBoundedRetries) {
   FetchRecordResult fetched = client.FetchRecord(1, 1, 1, false);
   EXPECT_FALSE(fetched.transport_ok);
   EXPECT_EQ(client.last_error(), WireError::kConnectionClosed);
+}
+
+TEST_F(CacheRpcClientTest, AbandonedCallsCloseTheConnection) {
+  // A bare listener: the kernel completes the handshake, nobody ever
+  // answers. Each call gives up with replies still owed, so it must drop
+  // the connection rather than bank late replies for the pool's lifetime.
+  uint16_t port = 0;
+  UniqueFd listener = OpenListener(0, 4, &port);
+  ASSERT_TRUE(listener.valid());
+  CacheClientOptions options;
+  options.call_timeout = std::chrono::milliseconds(60);
+  CacheClient client("127.0.0.1", port, options);
+
+  EXPECT_FALSE(client.FetchRecord(1, 2, 2, /*want_kv=*/false).transport_ok);
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+
+  model::ActivationRecord record;
+  record.steps.resize(1);
+  record.steps[0].y.push_back(TestMatrix(2, 3, 4));
+  EXPECT_FALSE(client.PutRecord(1, record).transport_ok);
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+
+  EXPECT_FALSE(client.QueryMetrics().has_value());
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+
+  EXPECT_FALSE(client.Probe(std::chrono::milliseconds(20)));
+  EXPECT_EQ(client.last_error(), WireError::kTimeout);
+  EXPECT_FALSE(client.connected());
+}
+
+// Tier-1 only: this test is timing-bound, so it is deliberately named
+// outside the sanitizer legs' suite regexes in scripts/check.sh.
+TEST(LoopbackLatencyTest, PipelinedPutStaysUnderDelayedAckFloor) {
+  // With Nagle on at the node's end, the node's second ack write of a
+  // pipelined burst waits for the client's delayed ACK (~40 ms on Linux),
+  // so every put of a multi-frame record costs at least that.
+  CacheNode node;
+  TcpServer server(node.Service());
+  ASSERT_TRUE(server.Start());
+  const model::NumericsConfig numerics = model::NumericsConfig::ForTests();
+  model::DiffusionModel model(numerics);
+  const model::ActivationRecord record = model.Register(5, /*record_kv=*/false);
+
+  CacheClient client("127.0.0.1", server.port());
+  std::vector<double> millis;
+  for (int i = 0; i < 11; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(client.PutRecord(5, record).transport_ok)
+        << ToString(client.last_error());
+    millis.push_back(std::chrono::duration<double, std::milli>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  }
+  std::nth_element(millis.begin(), millis.begin() + 5, millis.end());
+  EXPECT_LT(millis[5], 20.0) << "median PutRecord ms";
+  server.Stop();
 }
 
 // --- remote store ---------------------------------------------------------

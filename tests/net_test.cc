@@ -6,6 +6,8 @@
 // Stop()-with-in-flight at a live TcpServer and asserts it answers with
 // the right distinct error, never hangs, never crashes, and never leaks
 // file descriptors.
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 
@@ -651,6 +653,34 @@ TEST_F(TcpServerTest, AwaitTimesOutWhenServerNeverAnswers) {
   auto response = client.Await(seq, std::chrono::milliseconds(120));
   EXPECT_FALSE(response.has_value());
   EXPECT_EQ(client.last_error(), WireError::kTimeout);
+}
+
+// --- socket setup ---------------------------------------------------------
+
+// Every daemon answers pipelined requests with one write per reply; with
+// Nagle on at either end, the second small write of a burst stalls for the
+// peer's delayed ACK. Both ends of every connection must disable it.
+TEST(TcpServerSocketTest, ConnectedAndAcceptedEndsDisableNagle) {
+  uint16_t port = 0;
+  UniqueFd listener = OpenListener(0, 4, &port);
+  ASSERT_TRUE(listener.valid());
+  UniqueFd connected = ConnectTcp("127.0.0.1", port);
+  ASSERT_TRUE(connected.valid());
+  pollfd pfd{listener.get(), POLLIN, 0};
+  ASSERT_EQ(::poll(&pfd, 1, 1000), 1);
+  UniqueFd accepted = AcceptTcp(listener.get());
+  ASSERT_TRUE(accepted.valid());
+
+  for (const UniqueFd* fd : {&connected, &accepted}) {
+    int nodelay = 0;
+    socklen_t len = sizeof(nodelay);
+    ASSERT_EQ(::getsockopt(fd->get(), IPPROTO_TCP, TCP_NODELAY, &nodelay,
+                           &len),
+              0);
+    EXPECT_EQ(nodelay, 1);
+  }
+  // Nothing more is pending: the accept side reports it as an invalid fd.
+  EXPECT_FALSE(AcceptTcp(listener.get()).valid());
 }
 
 }  // namespace
